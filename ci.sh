@@ -1,12 +1,14 @@
 #!/bin/sh
 # Tier-1 gate: formatting, lints, release build, full workspace tests.
-# Run from the repository root. Fails fast on the first broken step.
+# Run from the repository root. Fails fast on the first broken step; the
+# workspace test step runs every crate's tests before it fails, so one
+# failing crate does not hide the others.
 set -eu
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-cargo test -q --workspace
+cargo test -q --workspace --no-fail-fast
 
 # Bench smoke: the contention benchmark at 1 and 8 threads, gated against
 # the committed baseline (bench_json exits 1 on regression). The ns/event

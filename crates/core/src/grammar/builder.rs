@@ -24,7 +24,9 @@
 //! and rescan the recorded rule when needed. Structural repairs (digram
 //! collisions → factoring, boundary merges, rule-utility inlining) are
 //! driven by a work queue of *dirty windows* so that no recursive mutation
-//! happens while a rule body is being scanned.
+//! happens while a rule body is being scanned. Rule utility and alias
+//! elimination find a rule's uses through a [`ParentIndex`] (which bodies
+//! use each rule), so a lookup scans only those bodies, not the grammar.
 //!
 //! ### Loop acceleration
 //!
@@ -217,6 +219,53 @@ impl DigramTable {
     }
 }
 
+/// Parent multiset per rule: the rules whose bodies use it, each with
+/// the number of body positions holding it. A use lookup then scans only
+/// the parents' bodies — O(sum of parent body lengths) instead of
+/// O(|grammar|). Each set is sorted by parent id, so sites come out in
+/// (rule, pos) order, the order of a whole-grammar scan.
+#[derive(Debug, Default)]
+struct ParentIndex {
+    sets: Vec<Vec<(RuleId, u32)>>,
+}
+
+impl ParentIndex {
+    fn of(&self, child: RuleId) -> &[(RuleId, u32)] {
+        self.sets.get(child.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// One more position of `parent`'s body holds `sym` (terminals are
+    /// not tracked).
+    fn add(&mut self, sym: Symbol, parent: RuleId) {
+        let Symbol::Rule(child) = sym else {
+            return;
+        };
+        if self.sets.len() <= child.index() {
+            self.sets.resize_with(child.index() + 1, Vec::new);
+        }
+        let set = &mut self.sets[child.index()];
+        match set.binary_search_by_key(&parent, |&(p, _)| p) {
+            Ok(i) => set[i].1 += 1,
+            Err(i) => set.insert(i, (parent, 1)),
+        }
+    }
+
+    /// One position of `parent`'s body no longer holds `sym`.
+    fn remove(&mut self, sym: Symbol, parent: RuleId) {
+        let Symbol::Rule(child) = sym else {
+            return;
+        };
+        let set = &mut self.sets[child.index()];
+        let i = set
+            .binary_search_by_key(&parent, |&(p, _)| p)
+            .expect("parent index lost a rule use");
+        set[i].1 -= 1;
+        if set[i].1 == 0 {
+            set.remove(i);
+        }
+    }
+}
+
 /// Range of pair-start indices (inclusive) of a rule body that must be
 /// re-checked for merges / unregistered digrams / digram collisions.
 #[derive(Debug, Clone, Copy)]
@@ -256,6 +305,10 @@ pub struct GrammarBuilder {
     body_pool: Vec<Vec<SymbolUse>>,
     /// Scratch buffer for rule-use collection (same motivation).
     sites: Vec<Loc>,
+    /// Which rule bodies use each rule (see [`ParentIndex`]).
+    parents: ParentIndex,
+    /// Symbols visited by rule-use lookups: a deterministic work count.
+    use_visits: u64,
     /// Loop-acceleration cursor (see the module docs).
     accel: AccelCursor,
 }
@@ -296,6 +349,8 @@ impl GrammarBuilder {
             event_count: 0,
             body_pool: Vec::new(),
             sites: Vec::new(),
+            parents: ParentIndex::default(),
+            use_visits: 0,
             accel: AccelCursor::default(),
         }
     }
@@ -544,6 +599,13 @@ impl GrammarBuilder {
         self.event_count
     }
 
+    /// Symbols visited so far while looking up a rule's use sites (rule
+    /// utility and alias elimination): a deterministic work count of the
+    /// record path, identical on every machine for a given stream.
+    pub fn use_lookup_visits(&self) -> u64 {
+        self.use_visits
+    }
+
     /// Read access to the grammar under construction.
     pub fn grammar(&self) -> &Grammar {
         &self.g
@@ -560,6 +622,44 @@ impl GrammarBuilder {
     /// invariant validator.
     pub(crate) fn digram_entry(&self, key: (Symbol, Symbol)) -> Option<Loc> {
         self.digrams.get(digram_key(key))
+    }
+
+    /// The maintained parent index as `(child, parent, positions)`
+    /// triples; used by the invariant validator.
+    pub(crate) fn parent_entries(&self) -> impl Iterator<Item = (RuleId, RuleId, u32)> + '_ {
+        self.parents
+            .sets
+            .iter()
+            .enumerate()
+            .flat_map(|(child, set)| {
+                set.iter()
+                    .map(move |&(parent, n)| (RuleId(child as u32), parent, n))
+            })
+    }
+
+    /// Every use site of rule `x` in (rule, pos) order, found by scanning
+    /// only the bodies of its parents. Returns the recycled `sites`
+    /// buffer; the caller hands it back.
+    fn collect_uses(&mut self, x: RuleId) -> Vec<Loc> {
+        let mut sites = std::mem::take(&mut self.sites);
+        sites.clear();
+        let target = Symbol::Rule(x);
+        for &(parent, _) in self.parents.of(x) {
+            let body = &self.g.rule(parent).body;
+            self.use_visits += body.len() as u64;
+            sites.extend(
+                body.iter()
+                    .enumerate()
+                    .filter(|(_, u)| u.symbol == target)
+                    .map(|(pos, _)| Loc { rule: parent, pos }),
+            );
+        }
+        #[cfg(debug_assertions)]
+        assert!(
+            sites.iter().copied().eq(self.g.rule_uses(x)),
+            "parent index disagrees with the grammar scan for {x}"
+        );
+        sites
     }
 
     // ------------------------------------------------------------------
@@ -712,15 +812,14 @@ impl GrammarBuilder {
 
     /// Merges `body[pos]` and `body[pos+1]` (equal symbols) into one use.
     fn merge_at(&mut self, rule: RuleId, pos: usize) {
-        let extra = {
+        // Total exponent preserved: refcounts unchanged, one position fewer.
+        let sym = {
             let body = &mut self.g.rule_mut(rule).body;
             debug_assert_eq!(body[pos].symbol, body[pos + 1].symbol);
-            let extra = body[pos + 1].count;
-            body[pos].count += extra;
-            body.remove(pos + 1);
-            extra
+            body[pos].count += body[pos + 1].count;
+            body.remove(pos + 1).symbol
         };
-        let _ = extra; // total exponent preserved: refcounts unchanged
+        self.parents.remove(sym, rule);
         self.shift_windows(rule, pos + 1, -1);
     }
 
@@ -738,21 +837,19 @@ impl GrammarBuilder {
 
     /// Allocates a rule slot (recycling freed ids).
     fn alloc_rule(&mut self, body: Vec<SymbolUse>) -> RuleId {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.g.rules.push(None);
+            RuleId(self.g.rules.len() as u32 - 1)
+        });
         // Creation increments the refcount of every referenced rule.
         for u in &body {
             if let Symbol::Rule(r) = u.symbol {
                 self.inc_ref(r, u.count);
             }
+            self.parents.add(u.symbol, id);
         }
-        let rule = Rule { body, refcount: 0 };
-        if let Some(id) = self.free.pop() {
-            self.g.rules[id.index()] = Some(rule);
-            id
-        } else {
-            let id = RuleId(self.g.rules.len() as u32);
-            self.g.rules.push(Some(rule));
-            id
-        }
+        self.g.rules[id.index()] = Some(Rule { body, refcount: 0 });
+        id
     }
 
     /// Factors the digram `key` shared by sites `s1` and `s2` into a rule
@@ -860,6 +957,14 @@ impl GrammarBuilder {
             self.dec_ref(br, kb);
         }
         self.inc_ref(n, 1);
+        // Parent index: a fully absorbed use loses its position.
+        if a_use.count == ka {
+            self.parents.remove(a_use.symbol, r);
+        }
+        if b_use.count == kb {
+            self.parents.remove(b_use.symbol, r);
+        }
+        self.parents.add(Symbol::Rule(n), r);
 
         // Splice the replacement segment in (stack buffer: at most 3 uses,
         // no heap allocation on this path).
@@ -898,22 +1003,22 @@ impl GrammarBuilder {
         debug_assert_eq!(ybody.len(), 1);
         let inner = ybody[0];
         self.recycle_body(ybody);
+        self.parents.remove(inner.symbol, y);
         // Uses of y elsewhere in the grammar.
-        let mut sites = std::mem::take(&mut self.sites);
-        self.g.collect_rule_uses(y, &mut sites);
+        let mut sites = self.collect_uses(y);
         for site in sites.drain(..) {
-            let use_count = {
+            {
                 let body = &mut self.g.rule_mut(site.rule).body;
                 let u = &mut body[site.pos];
                 debug_assert_eq!(u.symbol, Symbol::Rule(y));
-                let c = u.count;
                 u.symbol = inner.symbol;
-                u.count = c
+                u.count = u
+                    .count
                     .checked_mul(inner.count)
                     .expect("repetition exponent overflow");
-                c
-            };
-            let _ = use_count;
+            }
+            self.parents.remove(Symbol::Rule(y), site.rule);
+            self.parents.add(inner.symbol, site.rule);
             if let Symbol::Rule(ir) = inner.symbol {
                 let new_count = self.g.rule(site.rule).body[site.pos].count;
                 self.inc_ref(ir, new_count);
@@ -941,8 +1046,7 @@ impl GrammarBuilder {
         match self.g.rule(x).refcount {
             0 => self.delete_rule(x),
             1 => {
-                let mut sites = std::mem::take(&mut self.sites);
-                self.g.collect_rule_uses(x, &mut sites);
+                let sites = self.collect_uses(x);
                 debug_assert_eq!(sites.len(), 1, "refcount 1 rule with != 1 site");
                 let site = sites.first().copied();
                 self.sites = sites;
@@ -964,7 +1068,9 @@ impl GrammarBuilder {
             if let Symbol::Rule(r) = u.symbol {
                 self.dec_ref(r, u.count);
             }
+            self.parents.remove(u.symbol, x);
         }
+        debug_assert!(self.parents.of(x).is_empty(), "deleted rule {x} still used");
         self.recycle_body(body);
         self.g.rules[x.index()] = None;
         self.free.push(x);
@@ -995,6 +1101,12 @@ impl GrammarBuilder {
         }
 
         let xlen = xbody.len();
+        // X's single use disappears; the uses in X's body move into R.
+        self.parents.remove(Symbol::Rule(x), r);
+        for u in &xbody {
+            self.parents.remove(u.symbol, x);
+            self.parents.add(u.symbol, r);
+        }
         // Interior digrams of X move with the body: re-point their entries.
         for i in 0..xlen.saturating_sub(1) {
             let key = (xbody[i].symbol, xbody[i + 1].symbol);
@@ -1435,6 +1547,109 @@ mod tests {
         assert!(
             a <= r * 2 && r <= a * 2,
             "compression diverged: accel {a} rules vs reference {r}"
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // Branching streams
+    // ------------------------------------------------------------------
+
+    /// SplitMix64: `below(bound)` draws uniformly from `0..bound`.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    /// A branching motif stream of `len` events, the shape of the
+    /// benchmark's irregular workload: a fixed Markov chain of 512 motifs
+    /// (2–8 events over a 40-event alphabet, 3 successors each), walked
+    /// from `seed`. The walk repeats a motif 1–3 times, then moves to its
+    /// main successor, or to one of the others with probability 1/16.
+    /// The grammar keeps adding rules, so the rule-churn path dominates.
+    fn branching_stream(seed: u64, len: usize) -> Vec<u32> {
+        const MOTIFS: u64 = 512;
+        let mut chain = SplitMix64(0x5E9_0E17_C4A1);
+        let motifs: Vec<Vec<u32>> = (0..MOTIFS)
+            .map(|_| {
+                let n = 2 + chain.below(7);
+                (0..n).map(|_| chain.below(40) as u32).collect()
+            })
+            .collect();
+        let succ: Vec<[usize; 3]> = (0..MOTIFS)
+            .map(|_| std::array::from_fn(|_| chain.below(MOTIFS) as usize))
+            .collect();
+        let mut walk = SplitMix64(seed);
+        let mut out = Vec::with_capacity(len + 24);
+        let mut m = 0;
+        while out.len() < len {
+            let reps = if walk.below(4) == 0 {
+                1 + walk.below(3)
+            } else {
+                1
+            };
+            for _ in 0..reps {
+                out.extend_from_slice(&motifs[m]);
+            }
+            let k = if walk.below(16) != 0 {
+                0
+            } else {
+                1 + walk.below(2) as usize
+            };
+            m = succ[m][k];
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn branching_stream_grammar_is_pinned() {
+        // Golden bytes: the use-lookup machinery must not change which
+        // grammar the reduction produces. Rule count, symbol count and an
+        // FNV-1a hash of the encoded compacted grammar were captured
+        // before rule uses were found through the parent index.
+        for (seed, len, want) in [
+            (1, 32_768, (1273, 4956, 2_369_361_185_775_381_813)),
+            (2, 16_384, (764, 3026, 1_917_190_538_816_289_732)),
+        ] {
+            let seq = branching_stream(seed, len);
+            let mut b = GrammarBuilder::new();
+            b.push_all(seq.iter().map(|&s| e(s)));
+            let g = b.into_grammar().compact();
+            assert_eq!(g.unfold().into_iter().map(|x| x.0).collect::<Vec<_>>(), seq);
+            let symbols: usize = g.iter_rules().map(|(_, r)| r.body.len()).sum();
+            let mut buf = bytes::BytesMut::new();
+            crate::wire::put_grammar(&mut buf, &g);
+            let hash = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+                (h ^ u64::from(x)).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!((g.rule_count(), symbols, hash), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn use_lookups_stay_linear_on_branching_streams() {
+        // Sequitur is linear in its input, so the symbols visited per event
+        // while finding rule uses must not grow with the stream. A
+        // whole-grammar scan per lookup grows with the grammar: 375 → 702
+        // symbols/event from 8k to 32k events on this stream.
+        let seq = branching_stream(1, 32_768);
+        let per_event = |len: usize| {
+            let mut b = GrammarBuilder::new();
+            b.push_all(seq[..len].iter().map(|&s| e(s)));
+            b.flush_accel();
+            b.use_lookup_visits() as f64 / len as f64
+        };
+        let (short, long) = (per_event(8_192), per_event(32_768));
+        assert!(
+            long <= short * 1.25,
+            "use lookups visit {long:.2} symbols/event at 32k events vs {short:.2} at 8k"
         );
     }
 }

@@ -11,13 +11,14 @@
 //! * [`GrammarBuilder::check_invariants`] — the debug validator exercised
 //!   after every event push by the unit and property tests. It layers the
 //!   builder-only checks on top: the digram index must cover exactly the
-//!   pairs present in rule bodies, and the grammar must expand to exactly
-//!   the number of events pushed.
+//!   pairs present in rule bodies, the parent index must equal a recount
+//!   of the rule uses in every body, and the grammar must expand to
+//!   exactly the number of events pushed.
 
 use crate::analyze::lint::{lint_grammar, LintOptions};
 use crate::analyze::Severity;
 use crate::grammar::builder::GrammarBuilder;
-use crate::grammar::{Grammar, Loc, Symbol};
+use crate::grammar::{Grammar, Loc, RuleId, Symbol};
 use crate::util::FxHashMap;
 
 impl Grammar {
@@ -80,6 +81,29 @@ impl GrammarBuilder {
             }
         }
 
+        // -- parent index equals a recount from the rule bodies -----------
+        let mut uses: FxHashMap<(RuleId, RuleId), u32> = FxHashMap::default();
+        for (id, rule) in g.iter_rules() {
+            for u in &rule.body {
+                if let Symbol::Rule(child) = u.symbol {
+                    *uses.entry((child, id)).or_default() += 1;
+                }
+            }
+        }
+        for (child, parent, n) in self.parent_entries() {
+            let want = uses.remove(&(child, parent)).unwrap_or(0);
+            if n != want {
+                return Err(format!(
+                    "parent index says {parent} uses {child} at {n} positions, body has {want}"
+                ));
+            }
+        }
+        if let Some(((child, parent), n)) = uses.into_iter().next() {
+            return Err(format!(
+                "parent index misses {n} uses of {child} in {parent}"
+            ));
+        }
+
         // -- losslessness of length (needs the builder's event counter) ----
         if g.trace_len() != self.event_count() {
             return Err(format!(
@@ -97,7 +121,7 @@ impl GrammarBuilder {
 mod tests {
     use super::*;
     use crate::event::EventId;
-    use crate::grammar::{Rule, RuleId, SymbolUse};
+    use crate::grammar::{Rule, SymbolUse};
 
     #[test]
     fn fresh_builder_is_valid() {

@@ -360,24 +360,19 @@ impl Grammar {
         out
     }
 
-    /// Every location where rule `target` is used.
-    pub fn rule_uses(&self, target: RuleId) -> Vec<Loc> {
-        let mut out = Vec::new();
-        self.collect_rule_uses(target, &mut out);
-        out
-    }
-
-    /// [`Grammar::rule_uses`] into a caller-provided buffer (cleared
-    /// first), so hot callers can recycle the allocation.
-    pub fn collect_rule_uses(&self, target: RuleId, out: &mut Vec<Loc>) {
-        out.clear();
-        for (id, rule) in self.iter_rules() {
-            for (pos, u) in rule.body.iter().enumerate() {
-                if u.symbol == Symbol::Rule(target) {
-                    out.push(Loc { rule: id, pos });
-                }
-            }
-        }
+    /// Every location where rule `target` is used, in (rule, position)
+    /// order, by scanning every rule body. The builder finds uses through
+    /// its parent index instead; this whole-grammar scan is the reference
+    /// it is checked against in debug builds and tests.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn rule_uses(&self, target: RuleId) -> impl Iterator<Item = Loc> + '_ {
+        self.iter_rules().flat_map(move |(id, rule)| {
+            rule.body
+                .iter()
+                .enumerate()
+                .filter(move |(_, u)| u.symbol == Symbol::Rule(target))
+                .map(move |(pos, _)| Loc { rule: id, pos })
+        })
     }
 
     /// Renumbers live rules densely (root becomes rule 0) and drops vacant
@@ -593,10 +588,8 @@ mod tests {
         // b appears in A (pos 1) and B (pos 0).
         let uses = g.terminal_uses(e(1));
         assert_eq!(uses.len(), 2);
-        let a_uses = g.rule_uses(RuleId(1));
-        assert_eq!(a_uses.len(), 2); // two sites in root
-        let b_uses = g.rule_uses(RuleId(2));
-        assert_eq!(b_uses.len(), 1); // one site, exponent 2
+        assert_eq!(g.rule_uses(RuleId(1)).count(), 2); // two sites in root
+        assert_eq!(g.rule_uses(RuleId(2)).count(), 1); // one site, exponent 2
     }
 
     #[test]

@@ -8,6 +8,8 @@ set -eu
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
+# Non-test lines of code per crate: printed for information, never a gate.
+python3 scripts/loc.py || true
 cargo test -q --workspace --no-fail-fast
 
 # Bench smoke: the contention benchmark at 1 and 8 threads, gated against

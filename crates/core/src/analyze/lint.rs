@@ -89,9 +89,9 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
         }
     }
 
-    // -- acyclicity: its own guarded DFS, never Grammar::topological_order
-    //    (which panics on a cycle) --------------------------------------
-    if let Some(cycle_rule) = find_cycle(g) {
+    // -- acyclicity: the fallible walk (dead references are skipped; the
+    //    structural pass has flagged them) ---------------------------------
+    if let Err(cycle_rule) = g.try_topological_order() {
         diags.push(err(
             "rule-cycle",
             format!("rule graph has a cycle through {cycle_rule}"),
@@ -228,46 +228,6 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
     }
 
     diags
-}
-
-/// Three-color DFS over live rules, guarded against dead references; returns
-/// a rule on a cycle if one exists.
-fn find_cycle(g: &Grammar) -> Option<RuleId> {
-    let n = g.rules_slots();
-    let mut color = vec![0u8; n]; // 0 white, 1 grey, 2 black
-    for (start, _) in g.iter_rules() {
-        if color[start.index()] != 0 {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start.index()] = 1;
-        'outer: while let Some(&(r, next)) = stack.last() {
-            let body = &g.rule(r).body;
-            let mut i = next;
-            while i < body.len() {
-                let sym = body[i].symbol;
-                i += 1;
-                if let Symbol::Rule(child) = sym {
-                    if !g.is_live(child) {
-                        continue; // flagged by the structural pass
-                    }
-                    match color[child.index()] {
-                        0 => {
-                            color[child.index()] = 1;
-                            stack.last_mut().unwrap().1 = i;
-                            stack.push((child, 0));
-                            continue 'outer;
-                        }
-                        1 => return Some(child),
-                        _ => {}
-                    }
-                }
-            }
-            color[r.index()] = 2;
-            stack.pop();
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -289,6 +289,15 @@ impl Grammar {
     /// (root first). Panics if the rule graph has a cycle, which the builder
     /// never produces.
     pub fn topological_order(&self) -> Vec<RuleId> {
+        self.try_topological_order()
+            .unwrap_or_else(|r| panic!("grammar rule graph has a cycle at {r}"))
+    }
+
+    /// [`Grammar::topological_order`], or `Err` with the rule at which the
+    /// walk closed a cycle. References to vacant rules are skipped, so
+    /// validators can run it on untrusted grammars and report dead
+    /// references separately.
+    pub(crate) fn try_topological_order(&self) -> Result<Vec<RuleId>, RuleId> {
         #[derive(Clone, Copy, PartialEq)]
         enum Mark {
             White,
@@ -305,12 +314,15 @@ impl Grammar {
             let mut stack: Vec<(RuleId, usize)> = vec![(start, 0)];
             marks[start.index()] = Mark::Grey;
             'outer: while let Some(&(r, next)) = stack.last() {
-                let body_len = self.rule(r).body.len();
+                let body = &self.rule(r).body;
                 let mut i = next;
-                while i < body_len {
-                    let sym = self.rule(r).body[i].symbol;
+                while i < body.len() {
+                    let sym = body[i].symbol;
                     i += 1;
                     if let Symbol::Rule(child) = sym {
+                        if !self.is_live(child) {
+                            continue;
+                        }
                         match marks[child.index()] {
                             Mark::White => {
                                 marks[child.index()] = Mark::Grey;
@@ -318,7 +330,7 @@ impl Grammar {
                                 stack.push((child, 0));
                                 continue 'outer;
                             }
-                            Mark::Grey => panic!("grammar rule graph has a cycle at {child}"),
+                            Mark::Grey => return Err(child),
                             Mark::Black => {}
                         }
                     }
@@ -330,7 +342,7 @@ impl Grammar {
         }
         // Post-order gives children first; reverse for parents-first.
         order.reverse();
-        order
+        Ok(order)
     }
 
     /// First terminal produced when expanding `symbol`.

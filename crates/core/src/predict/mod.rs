@@ -104,19 +104,6 @@ pub struct PredictStats {
     pub reseeded: u64,
     /// Events absent from the reference execution.
     pub unknown: u64,
-    /// Panics caught (and isolated) by a resilience facade wrapping this
-    /// predictor. Always 0 for a bare [`Predictor`]; filled in by
-    /// [`crate::resilience::HardenedOracle`] when it merges its counters.
-    pub panics_caught: u64,
-    /// Predict queries that blew their time budget and were answered with
-    /// the host default instead (facade counter, 0 on a bare predictor).
-    pub deadline_misses: u64,
-    /// Times the resilience layer quarantined the oracle (facade counter,
-    /// 0 on a bare predictor).
-    pub quarantine_transitions: u64,
-    /// Nanoseconds spent with the oracle degraded — quarantined, probing,
-    /// or poisoned (facade counter, 0 on a bare predictor).
-    pub degraded_ns: u64,
 }
 
 /// How an observation related to the tracked candidates.

@@ -67,11 +67,14 @@ pub enum BreakerState {
 }
 
 /// The accuracy-watchdog state machine. Time is measured in observed
-/// events; the caller passes its running event count as `now`.
+/// events: the breaker counts the [`CircuitBreaker::on_event`] calls
+/// itself.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
     state: BreakerState,
+    /// Events observed so far (the breaker's clock).
+    clock: u64,
     /// Scored predictions in the current (closed or probe) window.
     scored: usize,
     /// Mispredictions in the current window.
@@ -94,6 +97,7 @@ impl CircuitBreaker {
         CircuitBreaker {
             config,
             state: BreakerState::Closed,
+            clock: 0,
             scored: 0,
             wrong: 0,
             hard_failures: 0,
@@ -123,10 +127,12 @@ impl CircuitBreaker {
         self.state != BreakerState::Open
     }
 
-    /// Called on every observed event; moves an open breaker to half-open
-    /// once the backoff has elapsed.
-    pub fn on_event(&mut self, now: u64) {
-        if self.state == BreakerState::Open && now >= self.reopen_at {
+    /// Called on every observed event, before its predictions are scored:
+    /// advances the clock and moves an open breaker to half-open once the
+    /// backoff has elapsed.
+    pub fn on_event(&mut self) {
+        self.clock += 1;
+        if self.state == BreakerState::Open && self.clock >= self.reopen_at {
             self.state = BreakerState::HalfOpen;
             self.scored = 0;
             self.wrong = 0;
@@ -136,7 +142,7 @@ impl CircuitBreaker {
 
     /// Scores one resolved prediction against the event that actually
     /// occurred.
-    pub fn on_scored(&mut self, correct: bool, now: u64) {
+    pub fn on_scored(&mut self, correct: bool) {
         match self.state {
             BreakerState::Open => {}
             BreakerState::Closed => {
@@ -147,7 +153,7 @@ impl CircuitBreaker {
                 if self.scored >= self.config.window.max(1) {
                     let rate = self.wrong as f64 / self.scored as f64;
                     if rate > self.config.max_error_rate {
-                        self.trip(now, false);
+                        self.trip(false);
                     } else {
                         self.scored = 0;
                         self.wrong = 0;
@@ -168,7 +174,7 @@ impl CircuitBreaker {
                         self.wrong = 0;
                         self.hard_failures = 0;
                     } else {
-                        self.trip(now, true);
+                        self.trip(true);
                     }
                 }
             }
@@ -176,17 +182,17 @@ impl CircuitBreaker {
     }
 
     /// Reports a hard failure (a query that blew its time budget).
-    pub fn on_hard_failure(&mut self, now: u64) {
+    pub fn on_hard_failure(&mut self) {
         match self.state {
             BreakerState::Open => {}
             BreakerState::Closed => {
                 self.hard_failures += 1;
                 if self.hard_failures >= self.config.failure_threshold.max(1) {
-                    self.trip(now, false);
+                    self.trip(false);
                 }
             }
             // A probe that still fails hard re-opens immediately.
-            BreakerState::HalfOpen => self.trip(now, true),
+            BreakerState::HalfOpen => self.trip(true),
         }
     }
 
@@ -198,12 +204,12 @@ impl CircuitBreaker {
 
     /// Trips into [`BreakerState::Open`]; `escalate` doubles the backoff
     /// (used when a half-open probe fails).
-    fn trip(&mut self, now: u64, escalate: bool) {
+    fn trip(&mut self, escalate: bool) {
         if escalate {
             self.backoff = (self.backoff.saturating_mul(2)).min(self.config.backoff_max.max(1));
         }
         self.state = BreakerState::Open;
-        self.reopen_at = now.saturating_add(self.backoff);
+        self.reopen_at = self.clock.saturating_add(self.backoff);
         self.scored = 0;
         self.wrong = 0;
         self.hard_failures = 0;
@@ -227,14 +233,32 @@ mod tests {
         }
     }
 
+    /// Advances the breaker's clock by `n` observed events.
+    fn tick(b: &mut CircuitBreaker, n: u64) {
+        for _ in 0..n {
+            b.on_event();
+        }
+    }
+
+    /// A breaker tripped by a wrong window at event 3 (reopens at 13).
+    fn tripped_at_3() -> CircuitBreaker {
+        let mut b = CircuitBreaker::new(cfg());
+        tick(&mut b, 3);
+        for _ in 0..4 {
+            b.on_scored(false);
+        }
+        assert_eq!(b.state(), BreakerState::Open);
+        b
+    }
+
     #[test]
     fn closed_to_open_on_error_rate() {
         let mut b = CircuitBreaker::new(cfg());
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.advice_allowed());
         // 3 wrong out of 4 > 0.5 → trip at window end.
-        for (i, correct) in [false, true, false, false].into_iter().enumerate() {
-            b.on_scored(correct, i as u64);
+        for correct in [false, true, false, false] {
+            b.on_scored(correct);
         }
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.advice_allowed());
@@ -246,9 +270,10 @@ mod tests {
     fn accurate_windows_keep_it_closed() {
         let mut b = CircuitBreaker::new(cfg());
         // 2 wrong out of 4 == 0.5, not strictly above → stays closed.
-        for round in 0..10u64 {
-            for (i, correct) in [true, false, true, false].into_iter().enumerate() {
-                b.on_scored(correct, round * 4 + i as u64);
+        for _ in 0..10 {
+            for correct in [true, false, true, false] {
+                b.on_event();
+                b.on_scored(correct);
             }
             assert_eq!(b.state(), BreakerState::Closed);
         }
@@ -258,29 +283,25 @@ mod tests {
     #[test]
     fn closed_to_open_on_consecutive_hard_failures() {
         let mut b = CircuitBreaker::new(cfg());
-        b.on_hard_failure(0);
-        b.on_hard_failure(1);
+        b.on_hard_failure();
+        b.on_hard_failure();
         // A success in between resets the run.
         b.on_query_ok();
-        b.on_hard_failure(2);
-        b.on_hard_failure(3);
+        b.on_hard_failure();
+        b.on_hard_failure();
         assert_eq!(b.state(), BreakerState::Closed);
-        b.on_hard_failure(4);
+        b.on_hard_failure();
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.transitions(), 1);
     }
 
     #[test]
     fn open_to_half_open_after_backoff() {
-        let mut b = CircuitBreaker::new(cfg());
-        for i in 0..4 {
-            b.on_scored(false, i);
-        }
-        assert_eq!(b.state(), BreakerState::Open);
+        let mut b = tripped_at_3();
         // Backoff is 10 events from the trip at event 3.
-        b.on_event(12);
+        tick(&mut b, 9);
         assert_eq!(b.state(), BreakerState::Open);
-        b.on_event(13);
+        b.on_event(); // event 13
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert!(b.computes());
         assert!(!b.advice_allowed());
@@ -288,14 +309,12 @@ mod tests {
 
     #[test]
     fn half_open_closes_on_recovered_accuracy() {
-        let mut b = CircuitBreaker::new(cfg());
-        for i in 0..4 {
-            b.on_scored(false, i);
-        }
-        b.on_event(13);
+        let mut b = tripped_at_3();
+        tick(&mut b, 10);
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.on_scored(true, 14);
-        b.on_scored(true, 15);
+        b.on_scored(true);
+        b.on_event();
+        b.on_scored(true);
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.advice_allowed());
         assert_eq!(b.transitions(), 1);
@@ -303,49 +322,50 @@ mod tests {
 
     #[test]
     fn half_open_failure_doubles_backoff_up_to_cap() {
-        let mut b = CircuitBreaker::new(cfg());
-        for i in 0..4 {
-            b.on_scored(false, i);
-        }
-        assert_eq!(b.state(), BreakerState::Open);
-        // First probe fails → backoff 10 → 20.
-        b.on_event(13);
-        b.on_scored(false, 13);
-        b.on_scored(false, 14);
+        let mut b = tripped_at_3();
+        // First probe fails at event 14 → backoff 10 → 20.
+        tick(&mut b, 10); // event 13
+        b.on_scored(false);
+        b.on_event(); // event 14
+        b.on_scored(false);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.transitions(), 2);
-        b.on_event(33);
+        tick(&mut b, 19); // event 33
         assert_eq!(b.state(), BreakerState::Open);
-        b.on_event(34);
+        b.on_event(); // event 34
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // Second probe fails hard → 20 → 35 (capped below 40).
-        b.on_hard_failure(34);
+        b.on_hard_failure();
         assert_eq!(b.state(), BreakerState::Open);
-        b.on_event(68);
+        tick(&mut b, 34); // event 68
         assert_eq!(b.state(), BreakerState::Open);
-        b.on_event(69);
+        b.on_event(); // event 69
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // Recovery resets the backoff to its initial value.
-        b.on_scored(true, 70);
-        b.on_scored(true, 71);
+        b.on_event();
+        b.on_scored(true);
+        b.on_event(); // event 71
+        b.on_scored(true);
         assert_eq!(b.state(), BreakerState::Closed);
-        for i in 0..4 {
-            b.on_scored(false, 72 + i);
+        tick(&mut b, 4); // event 75
+        for _ in 0..4 {
+            b.on_scored(false);
         }
         assert_eq!(b.state(), BreakerState::Open);
-        b.on_event(75 + 10);
+        tick(&mut b, 9); // event 84
+        assert_eq!(b.state(), BreakerState::Open);
+        b.on_event(); // event 85
         assert_eq!(b.state(), BreakerState::HalfOpen);
     }
 
     #[test]
     fn open_ignores_scores_and_failures() {
-        let mut b = CircuitBreaker::new(cfg());
-        for i in 0..4 {
-            b.on_scored(false, i);
-        }
+        let mut b = tripped_at_3();
         assert_eq!(b.transitions(), 1);
-        b.on_scored(false, 5);
-        b.on_hard_failure(6);
+        b.on_event();
+        b.on_scored(false);
+        b.on_event();
+        b.on_hard_failure();
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.transitions(), 1);
     }

@@ -121,9 +121,8 @@ pub struct HardenedOracle {
     time_budget: Option<Duration>,
     breaker: CircuitBreaker,
     injector: FaultInjector,
-    /// Fast slot for the common single-outstanding-prediction case.
-    slot: Option<PendingScore>,
-    /// Further outstanding predictions, ascending by target index.
+    /// Outstanding predictions, ascending by target index (ties in
+    /// registration order).
     pending: VecDeque<PendingScore>,
     /// Events submitted by the host (ground truth for the watchdog; fault
     /// injection happens downstream of this counter).
@@ -153,7 +152,6 @@ impl HardenedOracle {
             time_budget: config.time_budget,
             breaker: CircuitBreaker::new(config.breaker),
             injector: FaultInjector::new(plan),
-            slot: None,
             pending: VecDeque::new(),
             observed: 0,
             poisoned: false,
@@ -183,7 +181,7 @@ impl HardenedOracle {
     }
 
     /// [`HardenedOracle::try_predict`] over a bare [`ThreadTrace`].
-    pub fn try_predict_thread(
+    fn try_predict_thread(
         thread: Arc<ThreadTrace>,
         pconfig: PredictorConfig,
         config: ResilienceConfig,
@@ -209,18 +207,6 @@ impl HardenedOracle {
         config: ResilienceConfig,
     ) -> Self {
         match Self::try_predict(trace, index, pconfig.clone(), config.clone()) {
-            Ok(h) => h,
-            Err(e) => Self::bypassed_after(e, config),
-        }
-    }
-
-    /// [`HardenedOracle::predict_or_bypass`] over a bare [`ThreadTrace`].
-    pub fn predict_thread_or_bypass(
-        thread: Arc<ThreadTrace>,
-        pconfig: PredictorConfig,
-        config: ResilienceConfig,
-    ) -> Self {
-        match Self::try_predict_thread(thread, pconfig, config.clone()) {
             Ok(h) => h,
             Err(e) => Self::bypassed_after(e, config),
         }
@@ -275,18 +261,10 @@ impl HardenedOracle {
         s
     }
 
-    /// The inner predictor's statistics with the facade's counters merged
-    /// into the resilience fields (`None` when not predicting).
+    /// The inner predictor's statistics (`None` when not predicting); the
+    /// facade's own counters are in [`HardenedOracle::resilience_stats`].
     pub fn predict_stats(&self) -> Option<PredictStats> {
-        self.inner.predictor().map(|p| {
-            let mut s = p.stats();
-            let r = self.resilience_stats();
-            s.panics_caught = r.panics_caught;
-            s.deadline_misses = r.deadline_misses;
-            s.quarantine_transitions = r.quarantine_transitions;
-            s.degraded_ns = r.degraded_ns;
-            s
-        })
+        self.inner.predictor().map(Predictor::stats)
     }
 
     /// Submits one event. Mirrors [`Oracle::event`], with fault injection,
@@ -318,58 +296,45 @@ impl HardenedOracle {
             return None;
         }
         self.observed += 1;
-        let now = self.observed;
 
         if self.mode == OracleMode::Predict && !self.poisoned {
-            // Score outstanding predictions against the *host* event: fault
-            // injection corrupts what the oracle sees, never the ground
-            // truth, so a lossy channel shows up as mispredictions.
-            self.resolve_pending(event, now);
-            self.breaker.on_event(now);
+            // Tick the breaker, then score outstanding predictions against
+            // the *host* event: fault injection corrupts what the oracle
+            // sees, never the ground truth, so a lossy channel shows up as
+            // mispredictions.
+            self.breaker.on_event();
+            self.resolve_pending(event);
         }
         if self.poisoned {
             self.sync_degraded_clock();
             return None;
         }
 
-        let result = if self.injector.is_identity() {
-            // Fast path (production configs): no channel faults, deliver
-            // the event directly without the scratch buffer.
+        // Production configs inject no channel faults: deliver the event
+        // itself, without a copy into the scratch buffer.
+        let delivered: &[EventId] = if self.injector.is_identity() {
             self.injector.submit_identity();
-            let panic_now = self.injector.observe_panics();
-            let inner = &mut self.inner;
-            catch_unwind(AssertUnwindSafe(|| {
-                if panic_now {
-                    panic!("injected observe fault");
-                }
-                match ns {
-                    Some(t) => inner.event_at(event, t),
-                    None => inner.event(event),
-                }
-            }))
+            std::slice::from_ref(&event)
         } else {
-            let mut delivered = std::mem::take(&mut self.scratch);
-            delivered.clear();
-            self.injector.transform(event, &mut delivered);
-            let panic_now = self.injector.observe_panics();
-
-            let inner = &mut self.inner;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if panic_now {
-                    panic!("injected observe fault");
-                }
-                let mut last = None;
-                for &e in &delivered {
-                    last = match ns {
-                        Some(t) => inner.event_at(e, t),
-                        None => inner.event(e),
-                    };
-                }
-                last
-            }));
-            self.scratch = delivered;
-            result
+            self.scratch.clear();
+            self.injector.transform(event, &mut self.scratch);
+            &self.scratch
         };
+        let panic_now = self.injector.observe_panics();
+        let inner = &mut self.inner;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if panic_now {
+                panic!("injected observe fault");
+            }
+            let mut last = None;
+            for &e in delivered {
+                last = match ns {
+                    Some(t) => inner.event_at(e, t),
+                    None => inner.event(e),
+                };
+            }
+            last
+        }));
         let outcome = match result {
             Ok(o) => o,
             Err(_) => {
@@ -385,12 +350,54 @@ impl HardenedOracle {
     /// [`Oracle::predict_event`]); answers [`Prediction::default`] whenever
     /// the facade is degraded or the query fails in any way.
     pub fn predict_event(&mut self, distance: usize) -> Prediction {
+        self.guarded_query(
+            distance,
+            |p, deadline| match deadline {
+                Some(dl) => p.predict_deadline(distance, dl),
+                None => Ok(p.predict(distance)),
+            },
+            Prediction::most_likely,
+        )
+    }
+
+    /// Predicts the delay until the event `distance` steps ahead (mirrors
+    /// [`Oracle::predict_delay`]); `None` whenever degraded or failed.
+    pub fn predict_delay(&mut self, distance: usize) -> Option<Duration> {
+        self.guarded_query(
+            distance,
+            |p, deadline| {
+                let ns = match deadline {
+                    Some(dl) => match p.predict_delay_deadline_ns(distance, dl) {
+                        Ok(ns) => Some(ns),
+                        Err(Error::OracleUnavailable(_)) => None,
+                        Err(e) => return Err(e),
+                    },
+                    None => p.predict_delay_ns(distance),
+                };
+                Ok(ns.map(|ns| Duration::from_nanos(ns.max(0.0) as u64)))
+            },
+            |_| None,
+        )
+    }
+
+    /// The guard every predict query runs under. Answers `T::default()`
+    /// (the host default) when not predicting, when poisoned or
+    /// quarantined, and when `query` panics or fails; a blown time budget
+    /// is a hard failure for the breaker. A successful answer registers
+    /// its `scored` event for the watchdog, then reaches the host only if
+    /// the breaker is closed (a half-open probe withholds it).
+    fn guarded_query<T: Default>(
+        &mut self,
+        distance: usize,
+        query: impl FnOnce(&Predictor, Option<Instant>) -> Result<T>,
+        scored: impl FnOnce(&T) -> Option<EventId>,
+    ) -> T {
         if self.mode != OracleMode::Predict {
-            return Prediction::default();
+            return T::default();
         }
         if self.poisoned || !self.breaker.computes() {
             self.stats.suppressed += 1;
-            return Prediction::default();
+            return T::default();
         }
         let deadline = self.time_budget.map(|b| Instant::now() + b);
         let plan = self.injector.plan();
@@ -405,95 +412,31 @@ impl HardenedOracle {
                 spin(d);
             }
             match inner.predictor() {
-                Some(p) => match deadline {
-                    Some(dl) => p.predict_deadline(distance, dl),
-                    None => Ok(p.predict(distance)),
-                },
-                None => Ok(Prediction::default()),
+                Some(p) => query(p, deadline),
+                None => Ok(T::default()),
             }
         }));
         let out = match result {
             Err(_) => {
                 self.poison();
-                Prediction::default()
+                T::default()
             }
             Ok(Err(Error::Degraded(_))) => {
                 self.stats.deadline_misses += 1;
-                self.breaker.on_hard_failure(self.observed);
-                Prediction::default()
+                self.breaker.on_hard_failure();
+                T::default()
             }
-            Ok(Err(_)) => Prediction::default(),
-            Ok(Ok(pred)) => {
+            Ok(Err(_)) => T::default(),
+            Ok(Ok(answer)) => {
                 self.breaker.on_query_ok();
-                if let Some(next) = pred.most_likely() {
+                if let Some(next) = scored(&answer) {
                     self.register(distance, next);
                 }
                 if self.breaker.advice_allowed() {
-                    pred
-                } else {
-                    // Half-open probe: scored, but the host gets the
-                    // default until accuracy is proven again.
-                    self.stats.suppressed += 1;
-                    Prediction::default()
-                }
-            }
-        };
-        self.sync_degraded_clock();
-        out
-    }
-
-    /// Predicts the delay until the event `distance` steps ahead (mirrors
-    /// [`Oracle::predict_delay`]); `None` whenever degraded or failed.
-    pub fn predict_delay(&mut self, distance: usize) -> Option<Duration> {
-        if self.mode != OracleMode::Predict {
-            return None;
-        }
-        if self.poisoned || !self.breaker.computes() {
-            self.stats.suppressed += 1;
-            return None;
-        }
-        let deadline = self.time_budget.map(|b| Instant::now() + b);
-        let plan = self.injector.plan();
-        let panic_now = plan.panic_on_predict;
-        let slow = plan.slow_predict;
-        let inner = &self.inner;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if panic_now {
-                panic!("injected predict fault");
-            }
-            if let Some(d) = slow {
-                spin(d);
-            }
-            let Some(p) = inner.predictor() else {
-                return Ok(None);
-            };
-            match deadline {
-                Some(dl) => match p.predict_delay_deadline_ns(distance, dl) {
-                    Ok(ns) => Ok(Some(ns)),
-                    Err(Error::OracleUnavailable(_)) => Ok(None),
-                    Err(e) => Err(e),
-                },
-                None => Ok(p.predict_delay_ns(distance)),
-            }
-        }));
-        let out = match result {
-            Err(_) => {
-                self.poison();
-                None
-            }
-            Ok(Err(Error::Degraded(_))) => {
-                self.stats.deadline_misses += 1;
-                self.breaker.on_hard_failure(self.observed);
-                None
-            }
-            Ok(Err(_)) => None,
-            Ok(Ok(ns)) => {
-                self.breaker.on_query_ok();
-                if self.breaker.advice_allowed() {
-                    ns.map(|ns| Duration::from_nanos(ns.max(0.0) as u64))
+                    answer
                 } else {
                     self.stats.suppressed += 1;
-                    None
+                    T::default()
                 }
             }
         };
@@ -538,7 +481,6 @@ impl HardenedOracle {
     fn poison(&mut self) {
         self.poisoned = true;
         self.stats.panics_caught += 1;
-        self.slot = None;
         self.pending.clear();
     }
 
@@ -546,13 +488,6 @@ impl HardenedOracle {
     fn register(&mut self, distance: usize, predicted: EventId) {
         let target = self.observed + distance as u64;
         let score = PendingScore { target, predicted };
-        // Hosts that score at every blocking call have exactly one
-        // prediction outstanding at a time: a plain field, no deque
-        // traffic on the hot path.
-        if self.slot.is_none() && self.pending.is_empty() {
-            self.slot = Some(score);
-            return;
-        }
         let pos = self
             .pending
             .iter()
@@ -565,32 +500,25 @@ impl HardenedOracle {
     }
 
     /// Scores every outstanding prediction whose target is this event.
-    fn resolve_pending(&mut self, event: EventId, now: u64) {
-        if let Some(s) = self.slot {
-            if s.target <= now {
-                self.slot = None;
-                if s.target == now {
-                    self.score(s.predicted == event, now);
-                }
-            }
-        }
+    fn resolve_pending(&mut self, event: EventId) {
+        let now = self.observed;
         while let Some(front) = self.pending.front() {
             if front.target > now {
                 break;
             }
             let p = self.pending.pop_front().expect("front exists");
             if p.target == now {
-                self.score(p.predicted == event, now);
+                self.score(p.predicted == event);
             }
         }
     }
 
-    fn score(&mut self, correct: bool, now: u64) {
+    fn score(&mut self, correct: bool) {
         self.stats.scored += 1;
         if !correct {
             self.stats.mispredicted += 1;
         }
-        self.breaker.on_scored(correct, now);
+        self.breaker.on_scored(correct);
     }
 
     /// Starts/stops the degraded-time clock when health flips.
@@ -670,9 +598,7 @@ mod tests {
         assert_eq!(r.suppressed, 0);
         assert!(r.scored > 0);
         assert_eq!(r.mispredicted, 0);
-        let ps = hard.predict_stats().unwrap();
-        assert_eq!(ps.observed, 20);
-        assert_eq!(ps.panics_caught, 0);
+        assert_eq!(hard.predict_stats().unwrap().observed, 20);
     }
 
     #[test]
@@ -706,10 +632,8 @@ mod tests {
         assert!(r.suppressed >= 2);
         assert!(r.poisoned);
         assert!(r.degraded_ns > 0);
-        // Merged stats stay readable after the panic.
-        let ps = hard.predict_stats().unwrap();
-        assert_eq!(ps.panics_caught, 1);
-        assert_eq!(ps.quarantine_transitions, 1);
+        // The predictor's own stats stay readable after the panic.
+        assert!(hard.predict_stats().is_some());
     }
 
     #[test]
@@ -761,6 +685,65 @@ mod tests {
         // While quarantined, queries are suppressed without computing.
         assert!(!hard.predict_event(1).is_informed());
         assert_eq!(hard.resilience_stats().suppressed, 1);
+    }
+
+    #[test]
+    fn predict_delay_is_guarded_like_predict_event() {
+        let seq: Vec<u32> = (0..50).flat_map(|_| [0, 1]).collect();
+        let trace = trace_of(&seq);
+        // A zero budget: every delay query misses its deadline, and
+        // `failure_threshold` consecutive misses trip the breaker.
+        let config = ResilienceConfig {
+            time_budget: Some(Duration::ZERO),
+            breaker: BreakerConfig {
+                failure_threshold: 3,
+                ..BreakerConfig::default()
+            },
+            faults: Some(FaultPlan::none()),
+        };
+        let mut hard =
+            HardenedOracle::try_predict(&trace, 0, PredictorConfig::default(), config).unwrap();
+        hard.event(e(0));
+        for _ in 0..2 {
+            assert_eq!(hard.predict_delay(1), None);
+        }
+        assert_eq!(hard.health(), OracleHealth::Healthy);
+        assert_eq!(hard.predict_delay(1), None);
+        let r = hard.resilience_stats();
+        assert_eq!(r.deadline_misses, 3);
+        assert_eq!(r.suppressed, 0);
+        assert_eq!(r.quarantine_transitions, 1);
+        assert_eq!(hard.health(), OracleHealth::Quarantined);
+        // Open breaker: suppressed without computing (no further miss).
+        assert_eq!(hard.predict_delay(1), None);
+        let r = hard.resilience_stats();
+        assert_eq!(r.suppressed, 1);
+        assert_eq!(r.deadline_misses, 3);
+
+        // An injected predict panic through the delay query poisons the
+        // facade exactly once.
+        let config = ResilienceConfig {
+            faults: Some(FaultPlan {
+                panic_on_predict: true,
+                ..FaultPlan::none()
+            }),
+            ..ResilienceConfig::default()
+        };
+        let mut hard =
+            HardenedOracle::try_predict(&trace, 0, PredictorConfig::default(), config).unwrap();
+        hard.event(e(0));
+        let silent_guard = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let d = hard.predict_delay(1);
+        std::panic::set_hook(silent_guard);
+        assert_eq!(d, None);
+        assert_eq!(hard.health(), OracleHealth::Poisoned);
+        assert_eq!(hard.predict_delay(1), None);
+        let r = hard.resilience_stats();
+        assert_eq!(r.panics_caught, 1);
+        assert_eq!(r.quarantine_transitions, 1);
+        assert_eq!(r.suppressed, 1);
+        assert!(r.poisoned);
     }
 
     #[test]
@@ -828,19 +811,13 @@ mod tests {
     #[test]
     fn poisoned_grammar_is_contained_at_construction() {
         let thread = faults::poisoned_thread();
-        let err = HardenedOracle::try_predict_thread(
-            Arc::clone(&thread),
-            PredictorConfig::default(),
-            hermetic(),
-        )
-        .unwrap_err();
+        let err =
+            HardenedOracle::try_predict_thread(thread, PredictorConfig::default(), hermetic())
+                .unwrap_err();
         assert!(matches!(err, Error::OracleUnavailable(_)), "{err}");
 
-        let mut hard = HardenedOracle::predict_thread_or_bypass(
-            thread,
-            PredictorConfig::default(),
-            hermetic(),
-        );
+        // What `predict_or_bypass` hands back on that error.
+        let mut hard = HardenedOracle::bypassed_after(err, hermetic());
         assert_eq!(hard.health(), OracleHealth::Poisoned);
         assert!(!hard.predict_event(1).is_informed());
         assert_eq!(hard.event(e(0)), None);

@@ -250,43 +250,8 @@ pub(crate) fn validate_grammar(g: &Grammar) -> Result<()> {
             }
         }
     }
-    // Cycle detection (iterative three-color DFS, mirrors
-    // `Grammar::topological_order` but returns an error instead of
-    // panicking).
-    let mut color = vec![0u8; n]; // 0 white, 1 grey, 2 black
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack = vec![(RuleId(start as u32), 0usize)];
-        color[start] = 1;
-        'outer: while let Some(&(r, next)) = stack.last() {
-            let body = &g.rule(r).body;
-            let mut i = next;
-            while i < body.len() {
-                let sym = body[i].symbol;
-                i += 1;
-                if let Symbol::Rule(child) = sym {
-                    match color[child.index()] {
-                        0 => {
-                            color[child.index()] = 1;
-                            stack.last_mut().unwrap().1 = i;
-                            stack.push((child, 0));
-                            continue 'outer;
-                        }
-                        1 => {
-                            return Err(Error::Corrupt(format!(
-                                "rule graph cycle through {child}"
-                            )));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            color[r.index()] = 2;
-            stack.pop();
-        }
-    }
+    g.try_topological_order()
+        .map_err(|r| Error::Corrupt(format!("rule graph cycle through {r}")))?;
     Ok(())
 }
 

@@ -1314,8 +1314,6 @@ mod tests {
             assert_eq!(r.resilience.panics_caught, 1);
             assert!(r.resilience.quarantine_transitions >= 1);
             assert!(r.resilience.degraded_ns > 0);
-            let st = r.predict_stats.unwrap();
-            assert_eq!(st.panics_caught, 1);
             // The probe keeps scoring; every answer is the uninformed
             // default, so nothing is correct — but nothing crashed.
             assert!(r.accuracy[0].1.total() > 0);

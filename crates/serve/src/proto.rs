@@ -230,7 +230,7 @@ fn outcome_from(code: u8) -> Result<Option<ObserveOutcome>> {
 
 /// Encodes `req` as one frame (length prefix included).
 pub fn encode_request(req: &Request) -> BytesMut {
-    let mut body = BytesMut::new();
+    let mut body = open_frame();
     match req {
         Request::Open { tenant, durable } => {
             body.put_u8(T_OPEN);
@@ -267,7 +267,7 @@ pub fn encode_request(req: &Request) -> BytesMut {
         }
         Request::Stats => body.put_u8(T_STATS),
     }
-    frame(body)
+    close_frame(body)
 }
 
 /// Decodes one request frame **body** (length prefix already stripped).
@@ -310,7 +310,7 @@ pub fn decode_request(mut buf: &[u8]) -> Result<Request> {
 
 /// Encodes `resp` as one frame (length prefix included).
 pub fn encode_response(resp: &Response) -> BytesMut {
-    let mut body = BytesMut::new();
+    let mut body = open_frame();
     match resp {
         Response::Session { id } => {
             body.put_u8(T_SESSION);
@@ -352,7 +352,7 @@ pub fn encode_response(resp: &Response) -> BytesMut {
             put_str(&mut body, message);
         }
     }
-    frame(body)
+    close_frame(body)
 }
 
 /// Decodes one response frame **body** (length prefix already stripped).
@@ -432,11 +432,19 @@ fn expect_empty(buf: &mut &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Prefixes `body` with its little-endian u32 length.
-fn frame(body: BytesMut) -> BytesMut {
-    let mut out = BytesMut::with_capacity(4 + body.len());
-    out.put_u32_le(body.len() as u32);
-    out.put_slice(&body);
+/// A frame buffer holding a placeholder length prefix; the body is
+/// encoded after it and [`close_frame`] fills the prefix in.
+fn open_frame() -> BytesMut {
+    let mut out = BytesMut::new();
+    out.put_u32_le(0);
+    out
+}
+
+/// Writes the little-endian u32 body length into the prefix reserved by
+/// [`open_frame`].
+fn close_frame(mut out: BytesMut) -> BytesMut {
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
     out
 }
 
@@ -456,6 +464,17 @@ pub fn split_frame(buf: &mut &[u8]) -> Result<Option<Vec<u8>>> {
     }
     *buf = &peek[len..];
     Ok(Some(peek[..len].to_vec()))
+}
+
+/// [`split_frame`] over a receive buffer that grows as bytes arrive:
+/// removes the frame (length prefix included) from the front of `buf` and
+/// returns its body.
+pub(crate) fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>> {
+    let mut view = &buf[..];
+    let body = split_frame(&mut view)?;
+    let consumed = buf.len() - view.len();
+    buf.drain(..consumed);
+    Ok(body)
 }
 
 #[cfg(test)]

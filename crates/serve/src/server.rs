@@ -31,8 +31,8 @@ use pythia_core::predict::PredictorConfig;
 use pythia_core::resilience::{BreakerConfig, FaultPlan, WireFault, WireFaultInjector};
 
 use crate::proto::{
-    decode_request, decode_response, encode_request, encode_response, split_frame, Request,
-    Response,
+    decode_request, decode_response, encode_request, encode_response, split_frame, take_frame,
+    Request, Response,
 };
 use crate::session::SessionId;
 use crate::shard::{
@@ -618,13 +618,8 @@ impl<S: Read + Write> SocketClient<S> {
             .map_err(Error::Io)?;
         let mut chunk = [0u8; 4096];
         loop {
-            {
-                let mut view = &self.buf[..];
-                if let Some(body) = split_frame(&mut view)? {
-                    let consumed = self.buf.len() - view.len();
-                    self.buf.drain(..consumed);
-                    return decode_response(&body);
-                }
+            if let Some(body) = take_frame(&mut self.buf)? {
+                return decode_response(&body);
             }
             let n = self.stream.read(&mut chunk).map_err(Error::Io)?;
             if n == 0 {
@@ -880,21 +875,13 @@ fn connection_loop(
     let mut chunk = [0u8; 16 * 1024];
     while !lifecycle.stopped() {
         loop {
-            let body = {
-                let mut view = &buf[..];
-                match split_frame(&mut view) {
-                    Ok(Some(body)) => {
-                        let consumed = buf.len() - view.len();
-                        buf.drain(..consumed);
-                        Some(body)
-                    }
-                    Ok(None) => None,
-                    // Oversized or mangled length prefix: the stream can
-                    // never resynchronize, so drop the connection.
-                    Err(_) => return,
-                }
+            let body = match take_frame(&mut buf) {
+                Ok(Some(body)) => body,
+                Ok(None) => break,
+                // Oversized or mangled length prefix: the stream can never
+                // resynchronize, so drop the connection.
+                Err(_) => return,
             };
-            let Some(body) = body else { break };
             last_frame = std::time::Instant::now();
             let resp = match decode_request(&body) {
                 Ok(req) => router.dispatch(req),

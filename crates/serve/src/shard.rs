@@ -136,14 +136,6 @@ impl ShardStats {
     }
 }
 
-/// Per-shard, per-tenant admission gate: the breaker plus its logical
-/// clock (time = events this gate has seen, the same convention the
-/// resilience facade uses).
-struct TenantGate {
-    breaker: CircuitBreaker,
-    clock: u64,
-}
-
 /// Shard worker configuration (a slice of the server config).
 #[derive(Debug, Clone)]
 pub(crate) struct ShardConfig {
@@ -216,7 +208,9 @@ struct ShardWorker {
     config: ShardConfig,
     tenants: Arc<Tenants>,
     slab: SessionSlab,
-    gates: Vec<TenantGate>,
+    /// Per-tenant admission breakers (time = events each has seen, the
+    /// same convention the resilience facade uses).
+    gates: Vec<CircuitBreaker>,
     stats: ShardStats,
     published: Arc<Published<ShardStats>>,
     dirty: bool,
@@ -234,10 +228,7 @@ pub(crate) fn spawn_shard(
         .name(format!("pythia-shard-{index}"))
         .spawn(move || {
             let gates = (0..tenants.len())
-                .map(|_| TenantGate {
-                    breaker: CircuitBreaker::new(config.breaker.clone()),
-                    clock: 0,
-                })
+                .map(|_| CircuitBreaker::new(config.breaker.clone()))
                 .collect();
             ShardWorker {
                 config,
@@ -610,10 +601,9 @@ impl ShardWorker {
         session.events += events.len() as u64;
         self.stats.events += events.len() as u64;
         for _ in events {
-            gate.clock += 1;
-            gate.breaker.on_event(gate.clock);
+            gate.on_event();
         }
-        if !gate.breaker.computes() {
+        if !gate.computes() {
             // Open: the events are acknowledged but not replayed into the
             // grammar. The session's cursor desynchronizes; once the
             // breaker half-opens the next batch re-seeds it (that reseed
@@ -653,17 +643,17 @@ impl ShardWorker {
         }
         // Score the breaker from the outcome mix of this batch: matched
         // events vouch for the oracle, reseeds and unknowns vote against.
-        let trips_before = gate.breaker.transitions();
+        let trips_before = gate.transitions();
         let correct = after.matched - before.matched;
         let wrong = (after.reseeded - before.reseeded) + (after.unknown - before.unknown);
         for _ in 0..correct {
-            gate.breaker.on_scored(true, gate.clock);
+            gate.on_scored(true);
         }
         for _ in 0..wrong {
-            gate.breaker.on_scored(false, gate.clock);
+            gate.on_scored(false);
         }
-        self.stats.breaker_trips += gate.breaker.transitions() - trips_before;
-        let admission = if gate.breaker.advice_allowed() {
+        self.stats.breaker_trips += gate.transitions() - trips_before;
+        let admission = if gate.advice_allowed() {
             Admission::Served
         } else {
             Admission::Degraded
@@ -681,7 +671,7 @@ impl ShardWorker {
         };
         session.last_used = Instant::now();
         let gate = &mut self.gates[session.tenant];
-        if !gate.breaker.advice_allowed() {
+        if !gate.advice_allowed() {
             // No-advice fallback: an empty distribution is exactly what the
             // single-process oracle returns when it has lost track, so
             // hosts need no serve-specific handling.
@@ -689,7 +679,7 @@ impl ShardWorker {
             return Ok((Prediction::default(), Admission::Degraded));
         }
         let prediction = session.predictor.predict(distance);
-        gate.breaker.on_query_ok();
+        gate.on_query_ok();
         self.stats.predictions += 1;
         Ok((prediction, Admission::Served))
     }

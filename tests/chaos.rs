@@ -108,8 +108,6 @@ fn mpi_app_completes_under_forced_predict_panics() {
         assert!(r.resilience.poisoned, "rank {}: {:?}", r.rank, r.resilience);
         assert_eq!(r.resilience.panics_caught, 1, "{:?}", r.resilience);
         assert!(r.resilience.quarantine_transitions >= 1);
-        let st = r.predict_stats.unwrap();
-        assert_eq!(st.panics_caught, 1);
         // Predictions were still scored — all uninformed (the default).
         let (_, acc) = r.accuracy[0];
         assert!(acc.total() > 0);
@@ -192,8 +190,6 @@ fn slow_predictor_trips_deadline_and_quarantines() {
             "{:?}",
             r.resilience
         );
-        let st = r.predict_stats.unwrap();
-        assert_eq!(st.deadline_misses, r.resilience.deadline_misses);
     }
 }
 
